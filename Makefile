@@ -10,7 +10,7 @@ TESTFLAGS ?= -timeout 120s
 # race-enabled targets carry their own, larger guard.
 RACE_TESTFLAGS ?= -timeout 900s
 
-.PHONY: build test vet fmt race check expolint bench bench-all benchgate chaos soak-restart trace-demo fuzz
+.PHONY: build test vet fmt race check expolint perfbench-check bench bench-all benchgate chaos soak-restart trace-demo fuzz
 
 build:
 	$(GO) build ./...
@@ -42,13 +42,22 @@ expolint:
 	$(GO) test $(TESTFLAGS) -run 'Lint|Exposition|Prometheus' \
 		./internal/obs/ ./internal/jobs/ ./internal/telemetry/
 
-# check is the CI gate: formatting, static analysis, the exposition lint,
-# the race-enabled suite, and the benchmark regression gate against the
-# committed snapshot. The race-enabled suite replays the FuzzFrameDecode
+# perfbench-check vets and unit-tests the end-to-end benchmark. perfbench/
+# is its own module, so the root ./... never compiles it: without this step
+# an API break there passes every other gate and surfaces only when the
+# benchmark is built. It runs offline (the module requires only this repo,
+# through a replace directive).
+PERFBENCH_ENV := GOFLAGS=-mod=mod GOPROXY=off GOWORK=off
+perfbench-check:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./... && $(PERFBENCH_ENV) $(GO) test $(TESTFLAGS) ./...
+
+# check is the CI gate: formatting, static analysis (the perfbench module
+# included), the exposition lint, the race-enabled suite, and the benchmark
+# regression gate against the committed snapshot. The race-enabled suite replays the FuzzFrameDecode
 # seed corpus (plain `go test` runs f.Add seeds), so every committed
 # frame-decoder regression input is exercised on each CI run; `make fuzz`
 # explores beyond the seeds.
-check: fmt vet expolint race benchgate
+check: fmt vet perfbench-check expolint race benchgate
 
 # fuzz runs coverage-guided exploration of the wire-frame decoders. The
 # decoders sit directly on the network, so any input must decode or error —

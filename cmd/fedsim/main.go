@@ -236,7 +236,7 @@ func main() {
 		dim := task.Model.Dim()
 		topK := transport.TopKFor(*topkFrac, dim)
 		framed := transport.RoundWireSize(codec, dim, topK, false)
-		gob := transport.GobRoundWireSize(transport.CodecFloat64, dim, false)
+		gob := transport.GobRoundWireSize(dim, false)
 		fmt.Fprintf(os.Stderr, "%s: wire estimate at dim %d: %d bytes/round/device with codec %v vs %d gob float64 baseline (%.1fx smaller)\n",
 			cfg.Name, dim, framed, codec, gob, float64(gob)/float64(framed))
 	}

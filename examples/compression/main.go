@@ -1,12 +1,14 @@
 // Communication-efficiency example: the framed wire protocol and its
 // compressed update modes, end to end.
 //
-//  1. Wire codecs on the real TCP runtime: the legacy gob float64 wire
-//     versus the framed protocol at every codec — exact float64, float32,
-//     int16/int8 range-quantized deltas, and topk-delta (int8-quantized
-//     top-k sparsified delta against the broadcast anchor). Bytes are the
-//     coordinator's countingConn measurement, so framing overhead is
-//     included; loss/accuracy show what each lossy mode costs.
+//  1. Wire codecs on the real TCP runtime: the framed protocol at every
+//     codec — exact float64, float32, int16/int8 range-quantized deltas,
+//     and topk-delta (int8-quantized top-k sparsified delta against the
+//     broadcast anchor) — against a gob float64 baseline. Framed bytes are
+//     the coordinator's countingConn measurement, so framing overhead is
+//     included; the baseline is the same rounds' request and reply
+//     messages gob-encoded in memory (transport.GobRoundWireSize).
+//     Loss/accuracy show what each lossy mode costs.
 //  2. Top-k delta sparsification in isolation (transport.TopK /
 //     SparsifyDelta): bandwidth-vs-fidelity of one local update. Dense
 //     logistic-regression updates make aggressive sparsification visibly
@@ -25,10 +27,8 @@ import (
 	"time"
 
 	fedproxvr "fedproxvr"
-	"fedproxvr/internal/core"
-	"fedproxvr/internal/data"
+	"fedproxvr/internal/engine"
 	"fedproxvr/internal/mathx"
-	"fedproxvr/internal/models"
 	"fedproxvr/internal/theory"
 	"fedproxvr/internal/transport"
 )
@@ -43,8 +43,11 @@ func main() {
 
 	fmt.Println("— Wire protocol and codec on the TCP runtime —")
 	fmt.Printf("%-18s %14s %8s %12s %10s\n", "wire", "bytes moved", "vs gob", "final loss", "acc")
-	gobLoss, gobAcc, gobBytes := runDistributed(task, cfg, transport.CodecFloat64, true)
-	fmt.Printf("%-18s %14d %8s %12.4f %9.2f%%\n", "gob float64", gobBytes, "1.0x", gobLoss, gobAcc*100)
+	// gob pays its type preamble once per connection, on the first round.
+	dim := task.Model.Dim()
+	perDevice := transport.GobRoundWireSize(dim, true) + (cfg.Rounds-1)*transport.GobRoundWireSize(dim, false)
+	gobBytes := int64(len(task.Part.Clients) * perDevice)
+	fmt.Printf("%-18s %14d %8s %12s %10s\n", "gob float64", gobBytes, "1.0x", "-", "-")
 	for _, codec := range []transport.Codec{
 		transport.CodecFloat64,
 		transport.CodecFloat32,
@@ -52,15 +55,14 @@ func main() {
 		transport.CodecInt8,
 		transport.CodecTopK,
 	} {
-		loss, acc, moved := runDistributed(task, cfg, codec, false)
+		loss, acc, moved := runDistributed(task, cfg, codec)
 		fmt.Printf("%-18s %14d %7.1fx %12.4f %9.2f%%\n",
 			"framed "+codec.String(), moved, float64(gobBytes)/float64(moved), loss, acc*100)
 	}
 
 	fmt.Println("\n— Top-k delta sparsification (one local update) —")
-	dim := task.Model.Dim()
 	anchor := make([]float64, dim)
-	dev := core.NewDevice(0, task.Part.Clients[0], task.Model, cfg.Seed)
+	dev := engine.NewDevice(0, task.Part.Clients[0], task.Model, cfg.Seed)
 	local := dev.RunRound(anchor, cfg.Local)
 	fmt.Printf("%-8s %12s %22s\n", "keep", "bytes", "reconstruction error")
 	for _, frac := range []float64{1.0, 0.25, 0.10, 0.02} {
@@ -117,24 +119,18 @@ func mathxDist(a, b []float64) float64 {
 // runDistributed executes the config over loopback TCP with the codec and
 // returns final loss, accuracy and total bytes moved (sent + received) as
 // measured on the coordinator's connections.
-func runDistributed(task fedproxvr.Task, cfg fedproxvr.Config, codec transport.Codec, gobWire bool) (loss, acc float64, moved int64) {
+func runDistributed(task fedproxvr.Task, cfg fedproxvr.Config, codec transport.Codec) (loss, acc float64, moved int64) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	mk := func(addr string, id int, shard *data.Dataset, m models.Model, seed int64) (*transport.Worker, error) {
-		if gobWire {
-			return transport.NewGobWorker(addr, id, shard, m, seed)
-		}
-		return transport.NewWorker(addr, id, shard, m, seed)
-	}
 	var wg sync.WaitGroup
 	for id := range task.Part.Clients {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			w, err := mk(addr, id, task.Part.Clients[id], task.Model, cfg.Seed)
+			w, err := transport.NewWorker(addr, id, task.Part.Clients[id], task.Model, cfg.Seed)
 			if err != nil {
 				log.Printf("worker %d: %v", id, err)
 				return

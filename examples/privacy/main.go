@@ -15,7 +15,7 @@ import (
 	"log"
 
 	fedproxvr "fedproxvr"
-	"fedproxvr/internal/core"
+	"fedproxvr/internal/engine"
 	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/secure"
 )
@@ -33,13 +33,13 @@ func main() {
 
 	// Every device computes its local model, then masks it (scaled by its
 	// data size D_n, so the plain sum of submissions aggregates correctly).
-	devices := make([]*core.Device, len(task.Part.Clients))
+	devices := make([]*engine.Device, len(task.Part.Clients))
 	masked := make([][]float64, len(devices))
 	var clearAvg []float64 // what a plain server would compute
 	totalSamples := 0.0
 	clearAvg = make([]float64, dim)
 	for id, shard := range task.Part.Clients {
-		devices[id] = core.NewDevice(id, shard, task.Model, cfg.Seed)
+		devices[id] = engine.NewDevice(id, shard, task.Model, cfg.Seed)
 		local := devices[id].RunRound(anchor, cfg.Local)
 		dN := float64(shard.N())
 		totalSamples += dN

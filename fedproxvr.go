@@ -13,7 +13,7 @@
 //   - executable versions of the paper's theory: Lemma 1 bounds, the
 //     Theorem 1 federated factor Θ, and the Section 4.3 training-time
 //     optimizer;
-//   - an in-process parallel simulator and a gob-over-TCP distributed
+//   - an in-process parallel simulator and a framed-TCP distributed
 //     runtime that reproduce each other bit-for-bit;
 //   - regenerators for every figure and table of the paper's evaluation.
 //

@@ -19,8 +19,8 @@ type Conn struct {
 	delay time.Duration // applied to the next Write, then cleared
 }
 
-// NewConn wraps conn. Wrap before any traffic flows (the gob encoders
-// must be built over the wrapper for delays to apply).
+// NewConn wraps conn. Wrap before any traffic flows (the frame reader and
+// writer must be built over the wrapper for delays to apply).
 func NewConn(conn net.Conn) *Conn { return &Conn{Conn: conn} }
 
 // ArmWriteDelay stalls the next Write by d — one reply arrives late, the

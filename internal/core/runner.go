@@ -11,23 +11,13 @@ import (
 	"fedproxvr/internal/randx"
 )
 
-// Device is one simulated user device. It lives in internal/engine; the
-// alias keeps the historical core API (and the transport worker's device
-// construction) intact.
-type Device = engine.Device
-
-// NewDevice builds a device around a private model clone.
-func NewDevice(id int, shard *data.Dataset, m models.Model, seed int64) *Device {
-	return engine.NewDevice(id, shard, m, seed)
-}
-
 // Runner drives a full federated training run in-process: an engine over
 // a sequential or pooled-parallel executor, plus the paper's diagnostic
 // measurements (global loss, stationarity gap, local accuracy θ̂).
 type Runner struct {
 	eng     *engine.Engine
 	eval    *engine.Evaluator
-	devices []*Device
+	devices []*engine.Device
 
 	diag    []float64  // scratch local model for LocalAccuracy
 	diagRNG *rand.Rand // dedicated stream: diagnostics never touch device RNGs
@@ -38,9 +28,9 @@ func NewRunner(m models.Model, part *data.Partition, cfg Config) (*Runner, error
 	if len(part.Clients) == 0 {
 		return nil, errNoClients
 	}
-	devices := make([]*Device, len(part.Clients))
+	devices := make([]*engine.Device, len(part.Clients))
 	for i, shard := range part.Clients {
-		devices[i] = NewDevice(i, shard, m, cfg.Seed)
+		devices[i] = engine.NewDevice(i, shard, m, cfg.Seed)
 	}
 	var exec engine.Executor
 	if cfg.Parallel {
@@ -78,7 +68,7 @@ func (r *Runner) Engine() *engine.Engine { return r.eng }
 func (r *Runner) Evaluator() *engine.Evaluator { return r.eval }
 
 // Devices exposes the simulated devices (read-only use).
-func (r *Runner) Devices() []*Device { return r.devices }
+func (r *Runner) Devices() []*engine.Device { return r.devices }
 
 // Config returns the run configuration (with defaults applied).
 func (r *Runner) Config() Config { return r.eng.Config() }

@@ -1,5 +1,5 @@
 // Backend-conformance suite: every executor backend — sequential, pooled
-// parallel, simulated-clock fleet, and gob/TCP — must produce bit-identical
+// parallel, simulated-clock fleet, and TCP — must produce bit-identical
 // global models from the same seed, because the outer loop is the engine's
 // and every device owns a private RNG stream. This subsumes the historical
 // TestParallelMatchesSequentialExactly and the transport bit-for-bit test.
@@ -8,7 +8,6 @@ package engine_test
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"io"
@@ -18,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"fedproxvr/internal/chaos"
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/mathx"
@@ -246,55 +246,28 @@ func (f *failAfterExec) RunClients(anchor []float64, selected []int) ([][]float6
 
 func (f *failAfterExec) GradEvals() int64 { return f.inner.(engine.EvalCounter).GradEvals() }
 
-// serveFlakyWorker is a scripted wire-level worker: it performs the Hello
-// handshake and serves rounds like transport.Worker, but at round flakeRound
-// it replies with an application-level error once — WITHOUT running the local
-// solve — and then computes normally when the coordinator retries the same
-// round. The device therefore runs exactly once per round, so the run stays
-// bit-identical to one without the flake; only the retry counter moves.
-// Assumes CodecFloat64 (the conformance default).
+// serveFlakyWorker serves rounds like transport.Worker under a fault
+// schedule that flakes once at flakeRound: the worker replies with an
+// application-level error — WITHOUT running the local solve — and then
+// computes normally when the coordinator retries the same round. The device
+// therefore runs exactly once per round, so the run stays bit-identical to
+// one without the flake; only the retry counter moves. A torn-down flaky
+// worker does not rejoin.
 func serveFlakyWorker(t *testing.T, addr string, id int, shard *data.Dataset, m models.Model, seed int64, flakeRound int) {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	sched := &chaos.Schedule{Events: []chaos.Event{{Device: id, Round: flakeRound, Kind: chaos.Flake}}}
+	if err := sched.Validate(); err != nil {
+		t.Errorf("flaky worker %d: %v", id, err)
+		return
+	}
+	w, err := transport.NewChaosWorker(addr, id, shard, m, seed, sched)
 	if err != nil {
-		t.Errorf("flaky worker %d: dial: %v", id, err)
+		t.Errorf("flaky worker %d: %v", id, err)
 		return
 	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	if err := enc.Encode(&transport.Hello{ClientID: id, NumSamples: shard.N()}); err != nil {
-		t.Errorf("flaky worker %d: hello: %v", id, err)
-		return
-	}
-	dev := engine.NewDevice(id, shard, m, seed)
-	flaked := false
-	for {
-		var req transport.RoundRequest
-		if err := dec.Decode(&req); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			t.Errorf("flaky worker %d: recv: %v", id, err)
-			return
-		}
-		if req.Done {
-			return
-		}
-		rep := transport.RoundReply{ClientID: id, Round: req.Round}
-		if req.Round == flakeRound && !flaked {
-			flaked = true
-			rep.Err = "injected flake"
-		} else {
-			start := time.Now()
-			dev.BeginRound(req.Round)
-			rep.Local = dev.RunRound(req.AnchorVec(), req.Local)
-			rep.SolveSeconds = time.Since(start).Seconds()
-			rep.GradEvals = dev.GradEvals()
-		}
-		if err := enc.Encode(&rep); err != nil {
-			t.Errorf("flaky worker %d: send: %v", id, err)
-			return
-		}
+	w.SetRejoin(0, 0)
+	if err := w.Serve(); err != nil {
+		t.Errorf("flaky worker %d serve: %v", id, err)
 	}
 }
 

@@ -147,7 +147,7 @@ type Solver struct {
 // steps) — and invokes the returned func when the sub-phase ends. The TCP
 // worker uses it to record trace spans against the coordinator-propagated
 // round span. The hook lives on the Solver, not LocalConfig, because
-// LocalConfig crosses the gob wire and func fields do not encode. A nil
+// LocalConfig crosses the wire and func fields do not encode. A nil
 // hook (the default) costs one branch per sub-phase.
 func (s *Solver) SetPhaseHook(h func(name string) func()) { s.phase = h }
 

@@ -1,15 +1,10 @@
 package transport
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"io"
-	"net"
 	"time"
 
 	"fedproxvr/internal/chaos"
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/mathx"
@@ -33,39 +28,19 @@ import (
 // locally per device from the pure (seed, round, id) hash, no
 // coordination needed.
 //
-// The node speaks the framed wire only, and only CodecFloat64: quantizing
-// a partial sum would break the exactness the tree's conformance story
-// rests on.
+// The node speaks only CodecFloat64: quantizing a partial sum would break
+// the exactness the tree's conformance story rests on. The connection loop
+// (dial, rejoin, chaos enforcement keyed by shard ID) is the shared peer's;
+// AggregatorNode adds the AggHello and the shard fan-out.
 type AggregatorNode struct {
-	shardID int
+	peer
 	lo      int
-	devices []*core.Device // devices[i].ID == lo+i
-	counts  []float64      // raw per-device sample counts D_n, by local index
-	samples int64          // Σ counts
+	devices []*engine.Device // devices[i].ID == lo+i
+	counts  []float64        // raw per-device sample counts D_n, by local index
+	samples int64            // Σ counts
 	seed    int64
-	addr    string
-	conn    net.Conn
-
-	fr   frameReader
-	fw   frameWriter
-	req  RoundRequest
-	wbuf []byte
 
 	partial []float64 // Σ D_n·w_n accumulator, sized on first round
-
-	// Chaos injection against the NODE (shard-granular): ActionFor is keyed
-	// by shard ID, so killing this node is the scripted equivalent of
-	// dropping its whole shard for the round — which the tree conformance
-	// test asserts bit-identically.
-	sched  *chaos.Schedule
-	cconn  *chaos.Conn
-	flaked map[int]bool
-
-	rejoinAttempts int
-	rejoinBackoff  time.Duration
-	outageTries    int
-
-	rec *trace.Recorder
 }
 
 // NewAggregatorNode connects to the tree coordinator at addr and announces
@@ -93,118 +68,33 @@ func newAggregatorNode(addr string, shardID, loDevice int, shards []*data.Datase
 		return nil, fmt.Errorf("transport: aggregator shard %d has no devices", shardID)
 	}
 	n := &AggregatorNode{
-		shardID: shardID,
 		lo:      loDevice,
-		devices: make([]*core.Device, len(shards)),
+		devices: make([]*engine.Device, len(shards)),
 		counts:  make([]float64, len(shards)),
 		seed:    seed,
-		addr:    addr,
-		sched:   sched,
 	}
 	for i, shard := range shards {
-		n.devices[i] = core.NewDevice(loDevice+i, shard, m, seed)
+		n.devices[i] = engine.NewDevice(loDevice+i, shard, m, seed)
 		n.counts[i] = float64(shard.N())
 		n.samples += int64(shard.N())
 	}
-	if sched != nil {
-		n.flaked = make(map[int]bool)
-		n.rejoinAttempts = 40
-		n.rejoinBackoff = 25 * time.Millisecond
-	}
+	n.init(n, shardID, addr, sched)
 	if err := n.dial(); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
-// EnableTrace makes the node record a per-round shard-solve span and ship
-// it in its PartialSum whenever the coordinator propagates a trace context.
-// Call before Serve.
-func (n *AggregatorNode) EnableTrace() { n.rec = trace.NewRecorder() }
-
-// SetRejoin configures how persistently the node re-dials the coordinator
-// after losing its connection. attempts == 0 disables rejoining.
-func (n *AggregatorNode) SetRejoin(attempts int, backoff time.Duration) {
-	n.rejoinAttempts = attempts
-	n.rejoinBackoff = backoff
+func (n *AggregatorNode) hello(dst []byte) []byte {
+	return marshalAggHello(dst, &AggHello{ShardID: n.id, LoDevice: n.lo, NumDevices: len(n.devices), NumSamples: n.samples})
 }
 
-// dial (re)establishes the connection and performs the AggHello handshake.
-func (n *AggregatorNode) dial() error {
-	conn, err := net.Dial("tcp", n.addr)
-	if err != nil {
-		return protocolError("dial", err)
-	}
-	n.conn = conn
-	n.cconn = nil
-	if n.sched != nil {
-		n.cconn = chaos.NewConn(conn)
-		n.conn = n.cconn
-	}
-	n.fw = frameWriter{w: n.conn}
-	n.fr = frameReader{r: bufio.NewReader(n.conn)}
-	hello := AggHello{ShardID: n.shardID, LoDevice: n.lo, NumDevices: len(n.devices), NumSamples: n.samples}
-	n.wbuf = marshalAggHello(n.wbuf[:0], &hello)
-	if err := n.fw.writeFrame(n.wbuf); err != nil {
-		conn.Close()
-		return protocolError("hello", err)
-	}
-	return nil
+func (n *AggregatorNode) fail(dst []byte, round int, msg string) []byte {
+	return marshalPartialSum(dst, &PartialSum{ShardID: n.id, Round: round, Err: msg})
 }
 
-// Serve processes round requests until the coordinator sends Done or the
-// connection closes. A clean shutdown (Done or EOF) returns nil; with a
-// rejoin policy, connection losses trigger re-dials before giving up.
-func (n *AggregatorNode) Serve() error {
-	defer func() { n.conn.Close() }()
-	for {
-		again, err := n.serveConn()
-		if !again || err != nil {
-			return err
-		}
-	}
-}
-
-func (n *AggregatorNode) serveConn() (rejoin bool, err error) {
-	for {
-		if err := n.recvRequest(); err != nil {
-			return n.lost(err)
-		}
-		req := &n.req
-		if req.Done {
-			return false, nil
-		}
-		n.outageTries = 0
-
-		if n.sched != nil {
-			if ev, ok := n.sched.ActionFor(n.shardID, req.Round); ok {
-				switch ev.Kind {
-				case chaos.Crash, chaos.Partition:
-					// Kill BEFORE any device solves: the shard's RNG streams
-					// stay untouched this round, exactly like a scripted
-					// dropout of the whole shard.
-					n.killConn()
-					return n.lost(net.ErrClosed)
-				case chaos.Flake:
-					if !n.flaked[req.Round] {
-						n.flaked[req.Round] = true
-						ps := PartialSum{ShardID: n.shardID, Round: req.Round, Err: "chaos: injected flake"}
-						if err := n.sendPartial(&ps); err != nil {
-							return n.lost(err)
-						}
-						continue
-					}
-				case chaos.Delay:
-					n.cconn.ArmWriteDelay(ev.Delay())
-				}
-			}
-		}
-
-		ps := n.solveRound(req)
-		if err := n.sendPartial(ps); err != nil {
-			return n.lost(err)
-		}
-	}
+func (n *AggregatorNode) solve(dst []byte, req *RoundRequest, _ chaos.Event) []byte {
+	return marshalPartialSum(dst, n.solveRound(req))
 }
 
 // solveRound runs the shard fan-out for one request and builds the
@@ -212,19 +102,19 @@ func (n *AggregatorNode) serveConn() (rejoin bool, err error) {
 // sample counts — the canonical sharded arithmetic the flat ShardedMean
 // reference and the root's PartialMean share.
 func (n *AggregatorNode) solveRound(req *RoundRequest) *PartialSum {
-	ps := &PartialSum{ShardID: n.shardID, Round: req.Round}
+	ps := &PartialSum{ShardID: n.id, Round: req.Round}
 	if req.Codec != CodecFloat64 {
 		ps.Err = "aggregation tree is float64-only, request asked for codec " + req.Codec.String()
 		return ps
 	}
-	anchor := req.AnchorVec()
+	anchor := req.Anchor
 	if cap(n.partial) < len(anchor) {
 		n.partial = make([]float64, len(anchor))
 	}
 	n.partial = n.partial[:len(anchor)]
 	mathx.Zero(n.partial)
 
-	traceOn := n.rec != nil && req.TraceID != 0
+	traceOn := n.tracing(req)
 	var solve trace.WSpan
 	if traceOn {
 		n.rec.Rebase()
@@ -234,7 +124,7 @@ func (n *AggregatorNode) solveRound(req *RoundRequest) *PartialSum {
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				*ps = PartialSum{ShardID: n.shardID, Round: req.Round, Err: toErrString(r)}
+				*ps = PartialSum{ShardID: n.id, Round: req.Round, Err: toErrString(r)}
 			}
 		}()
 		for i, dev := range n.devices {
@@ -262,56 +152,3 @@ func (n *AggregatorNode) solveRound(req *RoundRequest) *PartialSum {
 	ps.Sum = n.partial
 	return ps
 }
-
-func (n *AggregatorNode) recvRequest() error {
-	typ, payload, err := n.fr.next()
-	if err != nil {
-		return err
-	}
-	if typ != msgRoundRequest {
-		return errFrame("expected round request, got frame type %d", typ)
-	}
-	return unmarshalRequest(payload, &n.req)
-}
-
-func (n *AggregatorNode) sendPartial(ps *PartialSum) error {
-	n.wbuf = marshalPartialSum(n.wbuf[:0], ps)
-	return n.fw.writeFrame(n.wbuf)
-}
-
-// killConn drops the connection abruptly (RST when possible), simulating a
-// node crash or network partition.
-func (n *AggregatorNode) killConn() {
-	if n.cconn != nil {
-		n.cconn.Kill()
-		return
-	}
-	n.conn.Close()
-}
-
-// lost mirrors Worker.lost: clean closes end Serve with nil, other errors
-// propagate; with a rejoin policy the node re-dials first.
-func (n *AggregatorNode) lost(cause error) (rejoin bool, err error) {
-	clean := errors.Is(cause, io.EOF) || errors.Is(cause, net.ErrClosed)
-	if n.rejoinAttempts <= 0 {
-		if clean {
-			return false, nil
-		}
-		return false, protocolError("recv", cause)
-	}
-	n.conn.Close()
-	for n.outageTries < n.rejoinAttempts {
-		n.outageTries++
-		time.Sleep(n.rejoinBackoff)
-		if err := n.dial(); err == nil {
-			return true, nil
-		}
-	}
-	if clean {
-		return false, nil
-	}
-	return false, protocolError("recv", cause)
-}
-
-// Close terminates the connection (Serve will then return).
-func (n *AggregatorNode) Close() error { return n.conn.Close() }

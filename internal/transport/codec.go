@@ -183,32 +183,6 @@ func dequantReference(anchor, dst []float64, levels int) []float64 {
 	return dst
 }
 
-// quantize converts a float64 vector for the legacy gob wire under the
-// codec. Only the float codecs exist there; the richer codecs are framed-
-// protocol-only and their configuration is rejected per connection.
-func quantize(c Codec, w []float64) (f64 []float64, f32 []float32) {
-	if c == CodecFloat64 {
-		return w, nil
-	}
-	out := make([]float32, len(w))
-	for i, v := range w {
-		out[i] = float32(v)
-	}
-	return nil, out
-}
-
-// dequantize restores a float64 vector from whichever field is set.
-func dequantize(f64 []float64, f32 []float32) []float64 {
-	if f64 != nil {
-		return f64
-	}
-	out := make([]float64, len(f32))
-	for i, v := range f32 {
-		out[i] = float64(v)
-	}
-	return out
-}
-
 // countingConn wraps a net.Conn with atomic byte counters, giving the
 // coordinator exact per-connection bandwidth accounting.
 type countingConn struct {

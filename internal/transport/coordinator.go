@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -24,9 +23,7 @@ import (
 	"fedproxvr/internal/trace"
 )
 
-// clientConn is one connected worker. The wire format is fixed per
-// connection at handshake time: framed peers (the default Worker) speak the
-// binary protocol of frame.go, legacy peers speak gob — see handshake.
+// clientConn is one connected worker or tree shard node.
 //
 // dead marks a connection the coordinator tore down after a network-level
 // fault; a dead worker is skipped (counted as a dropout) until a
@@ -37,17 +34,16 @@ type clientConn struct {
 	id      int
 	samples int
 	conn    *countingConn
-	framed  bool
-	// Framed wire. rep is the per-connection decode target: its Local and
-	// Spans buffers are reused round over round, so decoded models alias it
-	// and are valid until the connection's next exchange (the engine
-	// consumes them within the round; Round clones).
+	// rep is the per-connection decode target: its Local and Spans buffers
+	// are reused round over round, so decoded models alias it and are valid
+	// until the connection's next exchange (the engine consumes them within
+	// the round; Round clones).
 	fr  frameReader
 	fw  frameWriter
 	rep RoundReply
-	// Aggregation-tree shard node (AggHello handshake, framed only): the
-	// connection owns devices [lo, lo+ndev) and replies with PartialSum
-	// frames decoded into ps (reused like rep).
+	// Aggregation-tree shard node (AggHello handshake): the connection owns
+	// devices [lo, lo+ndev) and replies with PartialSum frames decoded into
+	// ps (reused like rep).
 	isAgg bool
 	lo    int
 	ndev  int
@@ -56,68 +52,55 @@ type clientConn struct {
 	// checked against the coordinator's own lease by leaseCheck.
 	jobID string
 	epoch int64
-	// Legacy gob wire.
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	dead bool
+	dead  bool
 }
 
-// handshake reads the Hello off a fresh connection, auto-detecting the wire
-// format from its first byte: framed streams start with frameMagic (0xFE),
-// which no gob stream can (gob begins with a small uvarint message length).
-// On error the caller owns closing conn.
+// handshake reads the Hello (flat worker) or AggHello (tree shard node)
+// off a fresh connection. A stream that does not open with a Hello frame —
+// bad magic included — and a negative sample count are rejected: a
+// negative D_n would turn into a negative aggregation weight. On error the
+// caller owns closing conn.
 func handshake(conn net.Conn, timeout time.Duration) (*clientConn, error) {
 	counted := newCountingConn(conn)
-	br := bufio.NewReader(counted)
 	if timeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(timeout))
 	}
-	first, err := br.Peek(1)
+	cc := &clientConn{
+		conn: counted,
+		fr:   frameReader{r: bufio.NewReader(counted)},
+		fw:   frameWriter{w: counted},
+	}
+	typ, payload, err := cc.fr.next()
 	if err != nil {
 		return nil, protocolError("hello", err)
 	}
-	cc := &clientConn{conn: counted}
 	var hello Hello
-	if first[0] == frameMagic {
-		cc.framed = true
-		cc.fr = frameReader{r: br}
-		cc.fw = frameWriter{w: counted}
-		typ, payload, err := cc.fr.next()
+	switch typ {
+	case msgHello:
+		if hello, err = unmarshalHello(payload); err != nil {
+			return nil, protocolError("hello", err)
+		}
+	case msgAggHello:
+		ah, err := unmarshalAggHello(payload)
 		if err != nil {
 			return nil, protocolError("hello", err)
 		}
-		switch typ {
-		case msgHello:
-			if hello, err = unmarshalHello(payload); err != nil {
-				return nil, protocolError("hello", err)
-			}
-		case msgAggHello:
-			ah, err := unmarshalAggHello(payload)
-			if err != nil {
-				return nil, protocolError("hello", err)
-			}
-			if ah.NumDevices <= 0 || ah.LoDevice < 0 {
-				return nil, protocolError("hello",
-					errFrame("aggregator shard %d claims device range [%d,+%d)", ah.ShardID, ah.LoDevice, ah.NumDevices))
-			}
-			cc.isAgg = true
-			cc.lo, cc.ndev = ah.LoDevice, ah.NumDevices
-			hello = Hello{ClientID: ah.ShardID, NumSamples: int(ah.NumSamples)}
-		default:
-			return nil, protocolError("hello", errFrame("expected hello, got frame type %d", typ))
+		if ah.NumDevices <= 0 || ah.LoDevice < 0 {
+			return nil, protocolError("hello",
+				errFrame("aggregator shard %d claims device range [%d,+%d)", ah.ShardID, ah.LoDevice, ah.NumDevices))
 		}
-	} else {
-		// The decoder must read through br (it holds the peeked byte); the
-		// encoder writes straight to the counted conn.
-		cc.enc = gob.NewEncoder(counted)
-		cc.dec = gob.NewDecoder(br)
-		if err := cc.dec.Decode(&hello); err != nil {
-			return nil, protocolError("hello", err)
-		}
+		cc.isAgg = true
+		cc.lo, cc.ndev = ah.LoDevice, ah.NumDevices
+		hello = Hello{ClientID: ah.ShardID, NumSamples: int(ah.NumSamples)}
+	default:
+		return nil, protocolError("hello", errFrame("expected hello, got frame type %d", typ))
 	}
-	conn.SetReadDeadline(time.Time{})
 	cc.id, cc.samples = hello.ClientID, hello.NumSamples
 	cc.jobID, cc.epoch = hello.JobID, hello.Epoch
+	if cc.samples < 0 {
+		return nil, protocolError("hello", fmt.Errorf("%s reported %d training samples", cc, cc.samples))
+	}
+	conn.SetReadDeadline(time.Time{})
 	return cc, nil
 }
 
@@ -230,9 +213,7 @@ type Coordinator struct {
 }
 
 // SetCodec selects the wire codec for subsequent rounds (default
-// CodecFloat64). Safe to change between rounds, not during one. The int
-// and topk codecs require framed workers; a legacy gob peer asked for one
-// replies with an application-level error and drops out of the round.
+// CodecFloat64). Safe to change between rounds, not during one.
 func (c *Coordinator) SetCodec(codec Codec) { c.codec = codec }
 
 // SetTopKFrac sets the fraction of delta coordinates kept per round under
@@ -292,9 +273,7 @@ func NewCoordinator(addr string, numClients int, timeout time.Duration) (*Coordi
 
 // NewCoordinatorOn completes coordinator construction over an existing
 // listener: it blocks until numClients workers have connected and
-// handshaked, then returns. On error the listener is closed. Framed and
-// legacy gob workers may mix freely in one cohort (the wire format is
-// per-connection).
+// handshaked, then returns. On error the listener is closed.
 func NewCoordinatorOn(ln net.Listener, numClients int, timeout time.Duration) (*Coordinator, error) {
 	return newCoordinatorOn(ln, numClients, timeout, false, "", 0)
 }
@@ -302,7 +281,7 @@ func NewCoordinatorOn(ln net.Listener, numClients int, timeout time.Duration) (*
 // NewLeasedCoordinatorOn is NewCoordinatorOn for one jobs-control-plane
 // coordinator incarnation: a worker is admitted — at construction and via
 // the rejoin path — only when its Hello offers exactly (jobID, epoch). A
-// framed worker with a stale lease is answered with a LeaseReject frame
+// worker with a stale lease is answered with a LeaseReject frame
 // carrying the current values before its connection closes, so it adopts
 // them and re-Hello's through its rejoin loop; this is the fence that
 // keeps a worker leased to a dead incarnation from silently joining the
@@ -327,7 +306,7 @@ func NewTreeCoordinator(addr string, numShards int, timeout time.Duration) (*Coo
 // AggHello, then validates that their device ranges tile [0, N)
 // contiguously in shard-ID order — the ascending-shard fold order is what
 // makes the tree bit-identical to a flat ShardedMean over the same map.
-// Tree mode is framed-only and CodecFloat64-only (partial sums are exact).
+// Tree mode is CodecFloat64-only (partial sums are exact).
 func NewTreeCoordinatorOn(ln net.Listener, numShards int, timeout time.Duration) (*Coordinator, error) {
 	return newCoordinatorOn(ln, numShards, timeout, true, "", 0)
 }
@@ -442,8 +421,7 @@ func (c *Coordinator) acceptLoop() {
 // adoption at the next round boundary. The replacement must present the ID
 // of a currently-dead worker and the same shard size (the aggregation
 // weights were fixed at construction); anything else is rejected by
-// closing the connection. The replacement may rejoin on either wire
-// format, independent of what the lost connection spoke.
+// closing the connection.
 func (c *Coordinator) handleRejoin(conn net.Conn) {
 	cc, err := handshake(conn, c.timeout)
 	if err != nil {
@@ -474,7 +452,7 @@ func (c *Coordinator) handleRejoin(conn net.Conn) {
 
 // leaseCheck enforces the lease fence on a freshly handshaked connection.
 // A coordinator without a lease admits everyone. With one, a mismatched
-// Hello is rejected: a framed flat worker is first told the current lease
+// Hello is rejected: a flat worker is first told the current lease
 // in a LeaseReject frame (so it adopts the values and re-Hello's through
 // its rejoin loop), then the connection closes. Returns whether the
 // connection was admitted; on false the connection is already closed.
@@ -486,7 +464,7 @@ func (c *Coordinator) leaseCheck(cc *clientConn) bool {
 	if cc.jobID == c.leaseJob && cc.epoch == c.leaseEpoch {
 		return true
 	}
-	if cc.framed && !cc.isAgg {
+	if !cc.isAgg {
 		frame := marshalLeaseReject(nil, &LeaseReject{JobID: c.leaseJob, Epoch: c.leaseEpoch})
 		_ = cc.fw.writeFrame(frame)
 	}
@@ -580,8 +558,8 @@ var errWorkerDown = fmt.Errorf("transport: worker connection is down")
 
 // errStraggler wraps a network timeout attributable to the round deadline
 // or a quorum cut rather than the flat per-connection timeout: the worker
-// is healthy but late. Its connection is still torn down (neither wire can
-// abandon a mid-flight exchange), and it rejoins between rounds.
+// is healthy but late. Its connection is still torn down (a frame stream
+// cannot abandon a mid-flight exchange), and it rejoins between rounds.
 var errStraggler = errors.New("transport: cut from the round as a straggler")
 
 // errRoundCut marks a worker that was between retry attempts when the
@@ -590,15 +568,16 @@ var errStraggler = errors.New("transport: cut from the round as a straggler")
 var errRoundCut = errors.New("transport: round over before retry")
 
 // roundCtx is the immutable per-round wire state shared by the fan-out
-// goroutines: the gob-path request, the framed request encoded once, and
-// the reference anchor the delta codecs decode replies against.
+// goroutines: the request frame encoded once, the reference anchor the
+// delta codecs decode replies against, and the propagated round span that
+// shipped solve spans are parented under.
 type roundCtx struct {
-	round int
-	codec Codec
-	dim   int
-	req   *RoundRequest // gob path (anchor quantized per codec)
-	frame []byte        // framed path, shared read-only
-	ref   []float64     // dequantized anchor (delta reference), read-only
+	round  int
+	codec  Codec
+	dim    int
+	frame  []byte    // shared read-only
+	ref    []float64 // dequantized anchor (delta reference), read-only
+	spanID uint64
 }
 
 // roundSubset runs one round against the selected workers only (partial
@@ -644,8 +623,11 @@ func (c *Coordinator) roundSubset(ctx context.Context, round int, anchor []float
 	if c.codec == CodecTopK {
 		topK = TopKFor(c.topKFrac, len(anchor))
 	}
-	a64, a32 := quantize(c.codec, anchor)
-	req := RoundRequest{Round: round, Codec: c.codec, Anchor: a64, Anchor32: a32, Local: local, TopK: topK}
+	// The request carries the full-precision anchor (marshalRequest
+	// quantizes per codec); it is encoded once here and the same bytes go to
+	// every connection. ref is the anchor exactly as workers decode it — the
+	// delta codecs reconstruct replies against it.
+	req := RoundRequest{Round: round, Codec: c.codec, Anchor: anchor, Local: local, TopK: topK, ActivateProb: c.actProb}
 	tr := c.tracer
 	if tr != nil {
 		// Propagate the trace context: workers parent their solve spans
@@ -655,19 +637,13 @@ func (c *Coordinator) roundSubset(ctx context.Context, round int, anchor []float
 		req.TraceID = tr.TraceID()
 		req.SpanID = tr.CurrentRound()
 	}
-	// The framed request carries the full-precision anchor (marshalRequest
-	// quantizes per codec); it is encoded once here and the same bytes go
-	// to every framed worker. ref is the anchor exactly as framed workers
-	// decode it — the delta codecs reconstruct replies against it.
-	frReq := RoundRequest{Round: round, Codec: c.codec, Anchor: anchor, Local: local, TopK: topK,
-		TraceID: req.TraceID, SpanID: req.SpanID, ActivateProb: c.actProb}
-	c.reqFrame = marshalRequest(c.reqFrame[:0], &frReq)
+	c.reqFrame = marshalRequest(c.reqFrame[:0], &req)
 	ref := anchor
 	if c.codec != CodecFloat64 {
 		c.refBuf = codecReference(c.codec, anchor, c.refBuf)
 		ref = c.refBuf
 	}
-	rc := &roundCtx{round: round, codec: c.codec, dim: len(anchor), req: &req, frame: c.reqFrame, ref: ref}
+	rc := &roundCtx{round: round, codec: c.codec, dim: len(anchor), frame: c.reqFrame, ref: ref, spanID: req.SpanID}
 	errs := make([]error, len(selected))
 	var cut atomic.Bool
 	var wg sync.WaitGroup
@@ -767,9 +743,9 @@ func (c *Coordinator) roundSubset(ctx context.Context, round int, anchor []float
 		if cc.dead {
 			return
 		}
-		// The stream is unusable after a failed exchange (neither gob nor
-		// the framing resynchronizes past a partial message): tear the
-		// connection down. The worker rejoins with a fresh Hello.
+		// The stream is unusable after a failed exchange (the framing does
+		// not resynchronize past a partial message): tear the connection
+		// down. The worker rejoins with a fresh Hello.
 		cc.conn.Close()
 		c.mu.Lock()
 		cc.dead = true
@@ -865,10 +841,12 @@ func (c *Coordinator) askWorker(cc *clientConn, rc *roundCtx, evals []int64, rou
 	return nil, 0, lastErr
 }
 
-// exchange is a single request/reply attempt. retriable distinguishes
-// application-level failures (worker panic, wrong-round or wrong-codec
-// reply — the stream is still framed, so a resend can succeed) from
-// network-level ones (the stream is torn; the caller must drop the
+// exchange is a single request/reply attempt. Flat workers and tree shards
+// share it: the same request frame goes down, and only the decoding of the
+// reply differs (a RoundReply or a PartialSum, see decodeReply). retriable
+// distinguishes application-level failures (worker panic, wrong-round or
+// wrong-codec reply — the stream is still framed, so a resend can succeed)
+// from network-level ones (the stream is torn; the caller must drop the
 // connection). The per-message deadline is the flat timeout clamped to the
 // round deadline; a timeout attributable to the round deadline or a quorum
 // cut is wrapped in errStraggler so the caller can tell a late worker from
@@ -904,78 +882,6 @@ func (c *Coordinator) exchange(cc *clientConn, rc *roundCtx, evals []int64, roun
 	if c.tracer != nil {
 		sentAt = time.Now()
 	}
-	if cc.isAgg {
-		return c.exchangeAgg(cc, rc, evals, wrap, sentAt)
-	}
-	var rep *RoundReply
-	if cc.framed {
-		if err := cc.fw.writeFrame(rc.frame); err != nil {
-			return nil, 0, wrap("send to", err), false
-		}
-		typ, payload, err := cc.fr.next()
-		if err != nil {
-			return nil, 0, wrap("recv from", err), false
-		}
-		if typ != msgRoundReply {
-			return nil, 0, wrap("recv from", errFrame("expected round reply, got frame type %d", typ)), false
-		}
-		rep = &cc.rep
-		if err := unmarshalReply(payload, rep, rc.ref); err != nil {
-			return nil, 0, wrap("recv from", err), false
-		}
-		if rep.SpanBytes > 0 {
-			c.obsSpanBytes.Add(int64(rep.SpanBytes))
-		}
-	} else {
-		var gobRep RoundReply
-		if err := cc.enc.Encode(rc.req); err != nil {
-			return nil, 0, wrap("send to", err), false
-		}
-		if err := cc.dec.Decode(&gobRep); err != nil {
-			return nil, 0, wrap("recv from", err), false
-		}
-		rep = &gobRep
-		if rep.Err == "" && rep.Local32 != nil && rep.Local == nil {
-			// Legacy gob peers carry the codec implicitly in which field
-			// they set; normalize so the enforcement below sees it.
-			rep.Codec = CodecFloat32
-		}
-	}
-	if rep.Err != "" {
-		return nil, 0, fmt.Errorf("transport: client %d: %s", cc.id, rep.Err), true
-	}
-	if rep.Round != rc.round {
-		return nil, 0, fmt.Errorf("transport: client %d replied for round %d, want %d",
-			cc.id, rep.Round, rc.round), true
-	}
-	if rep.Codec != rc.codec {
-		// Enforce the same-codec contract instead of silently dequantizing
-		// whatever arrived: a mixed-codec aggregate would blend different
-		// error floors without anything flagging it.
-		return nil, 0, fmt.Errorf("transport: client %d replied in codec %v, want %v",
-			cc.id, rep.Codec, rc.codec), true
-	}
-	vec = rep.LocalVec()
-	if len(vec) != rc.dim {
-		return nil, 0, fmt.Errorf("transport: client %d sent %d params, want %d",
-			cc.id, len(vec), rc.dim), true
-	}
-	if evals != nil {
-		evals[cc.id] = rep.GradEvals
-	}
-	if c.tracer != nil && len(rep.Spans) > 0 {
-		c.tracer.IngestWire(rep.Spans, rc.req.SpanID, "worker-"+strconv.Itoa(cc.id), sentAt)
-	}
-	return vec, rep.SolveSeconds, nil, false
-}
-
-// exchangeAgg is the aggregation-tree variant of one exchange attempt: the
-// same request frame goes down, a PartialSum comes back. The returned vec
-// is the shard's Σ D_n·w_n (aliasing the per-connection decode buffer, same
-// contract as framed replies); the shard's round weight and device-level
-// counts land in the per-child tree metadata slots, which only this
-// goroutine writes this round.
-func (c *Coordinator) exchangeAgg(cc *clientConn, rc *roundCtx, evals []int64, wrap func(string, error) error, sentAt time.Time) (vec []float64, solveSec float64, err error, retriable bool) {
 	if err := cc.fw.writeFrame(rc.frame); err != nil {
 		return nil, 0, wrap("send to", err), false
 	}
@@ -983,39 +889,99 @@ func (c *Coordinator) exchangeAgg(cc *clientConn, rc *roundCtx, evals []int64, w
 	if err != nil {
 		return nil, 0, wrap("recv from", err), false
 	}
-	if typ != msgPartialSum {
-		return nil, 0, wrap("recv from", errFrame("expected partial sum, got frame type %d", typ)), false
-	}
-	ps := &cc.ps
-	if err := unmarshalPartialSum(payload, ps); err != nil {
+	rep, err := cc.decodeReply(typ, payload, rc.ref)
+	if err != nil {
 		return nil, 0, wrap("recv from", err), false
 	}
-	if ps.SpanBytes > 0 {
-		c.obsSpanBytes.Add(int64(ps.SpanBytes))
+	if rep.spanBytes > 0 {
+		c.obsSpanBytes.Add(int64(rep.spanBytes))
 	}
-	if ps.Err != "" {
-		return nil, 0, fmt.Errorf("transport: shard %d: %s", cc.id, ps.Err), true
+	if rep.errText != "" {
+		return nil, 0, fmt.Errorf("transport: %s: %s", cc, rep.errText), true
 	}
-	if ps.Round != rc.round {
-		return nil, 0, fmt.Errorf("transport: shard %d replied for round %d, want %d",
-			cc.id, ps.Round, rc.round), true
+	if rep.round != rc.round {
+		return nil, 0, fmt.Errorf("transport: %s replied for round %d, want %d",
+			cc, rep.round, rc.round), true
 	}
-	if len(ps.Sum) != rc.dim {
-		return nil, 0, fmt.Errorf("transport: shard %d sent a %d-dim partial sum, want %d",
-			cc.id, len(ps.Sum), rc.dim), true
+	if rep.codec != rc.codec {
+		// Enforce the same-codec contract instead of silently dequantizing
+		// whatever arrived: a mixed-codec aggregate would blend different
+		// error floors without anything flagging it.
+		return nil, 0, fmt.Errorf("transport: %s replied in codec %v, want %v",
+			cc, rep.codec, rc.codec), true
+	}
+	if len(rep.vec) != rc.dim {
+		return nil, 0, fmt.Errorf("transport: %s sent %d params, want %d",
+			cc, len(rep.vec), rc.dim), true
 	}
 	if evals != nil {
-		evals[cc.id] = ps.GradEvals
+		evals[cc.id] = rep.gradEvals
 	}
-	c.treeWeight[cc.id] = ps.Weight
-	c.treeDevices[cc.id] = ps.Devices
-	c.treeFailed[cc.id] = ps.Failed
-	c.treeStragglers[cc.id] = ps.Stragglers
-	c.treeReported[cc.id] = true
-	if c.tracer != nil && len(ps.Spans) > 0 {
-		c.tracer.IngestWire(ps.Spans, rc.req.SpanID, "shard-"+strconv.Itoa(cc.id), sentAt)
+	if cc.isAgg {
+		// The shard's round weight and device-level counts land in the
+		// per-child tree metadata slots, which only this goroutine writes
+		// this round.
+		c.treeWeight[cc.id] = cc.ps.Weight
+		c.treeDevices[cc.id] = cc.ps.Devices
+		c.treeFailed[cc.id] = cc.ps.Failed
+		c.treeStragglers[cc.id] = cc.ps.Stragglers
+		c.treeReported[cc.id] = true
 	}
-	return ps.Sum, ps.SolveSeconds, nil, false
+	if c.tracer != nil && len(rep.spans) > 0 {
+		proc := "worker-"
+		if cc.isAgg {
+			proc = "shard-"
+		}
+		c.tracer.IngestWire(rep.spans, rc.spanID, proc+strconv.Itoa(cc.id), sentAt)
+	}
+	return rep.vec, rep.solveSec, nil, false
+}
+
+// reply is the part of a decoded RoundReply or PartialSum that exchange
+// checks. vec aliases the connection's decode buffer: a flat worker's
+// local model, or a shard's pre-weighted partial sum Σ D_n·w_n.
+type reply struct {
+	round     int
+	codec     Codec
+	vec       []float64
+	gradEvals int64
+	solveSec  float64
+	errText   string
+	spans     []trace.WireSpan
+	spanBytes int
+}
+
+// String names the peer in errors: "client N" or, for a tree shard node,
+// "shard N".
+func (cc *clientConn) String() string {
+	if cc.isAgg {
+		return "shard " + strconv.Itoa(cc.id)
+	}
+	return "client " + strconv.Itoa(cc.id)
+}
+
+// decodeReply decodes a reply frame into the connection's reusable
+// RoundReply (flat worker) or PartialSum (tree shard). Partial sums always
+// travel as float64, whatever the round's codec.
+func (cc *clientConn) decodeReply(typ byte, payload []byte, ref []float64) (reply, error) {
+	if cc.isAgg {
+		if typ != msgPartialSum {
+			return reply{}, errFrame("expected partial sum, got frame type %d", typ)
+		}
+		ps := &cc.ps
+		if err := unmarshalPartialSum(payload, ps); err != nil {
+			return reply{}, err
+		}
+		return reply{ps.Round, CodecFloat64, ps.Sum, ps.GradEvals, ps.SolveSeconds, ps.Err, ps.Spans, ps.SpanBytes}, nil
+	}
+	if typ != msgRoundReply {
+		return reply{}, errFrame("expected round reply, got frame type %d", typ)
+	}
+	rep := &cc.rep
+	if err := unmarshalReply(payload, rep, ref); err != nil {
+		return reply{}, err
+	}
+	return reply{rep.Round, rep.Codec, rep.Local, rep.GradEvals, rep.SolveSeconds, rep.Err, rep.Spans, rep.SpanBytes}, nil
 }
 
 // resetRoundObs clears the per-round observability state for a round with n
@@ -1307,23 +1273,17 @@ func (c *Coordinator) TreeEngine(w0 []float64, cfg core.Config, evalModel models
 }
 
 // Shutdown tells every live worker (including pending rejoins) to exit
-// cleanly, in whichever wire format its connection speaks. Dead
-// connections are skipped.
+// cleanly. Dead connections are skipped.
 func (c *Coordinator) Shutdown() {
 	c.adoptRejoined()
-	req := RoundRequest{Done: true}
-	doneFrame := marshalRequest(nil, &req)
+	doneFrame := marshalRequest(nil, &RoundRequest{Done: true})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, cc := range c.clients {
 		if cc.dead {
 			continue
 		}
-		if cc.framed {
-			_ = cc.fw.writeFrame(doneFrame)
-		} else {
-			_ = cc.enc.Encode(&req)
-		}
+		_ = cc.fw.writeFrame(doneFrame)
 	}
 }
 

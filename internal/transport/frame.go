@@ -1,11 +1,12 @@
 package transport
 
-// The framed binary wire protocol. gob's per-message reflection and its
-// ~9-byte varint encoding of a full-mantissa float64 are pure overhead for
-// the round path's fixed-layout messages, whose payloads are long float64
-// vectors; this hand-rolled framing is the default wire format and cuts
-// exact-mode round traffic by the gob preamble + per-element overhead, and
-// compressed-codec traffic by 10–50× (see codec.go).
+// The framed binary wire protocol, the only wire the runtime speaks. The
+// round path's messages have fixed layouts whose payloads are long float64
+// vectors, so a hand-rolled framing carries them with no per-message type
+// description and no per-element varint packing: exact-mode rounds move
+// fewer bytes than the gob encoding of the same messages (GobRoundWireSize
+// measures that baseline), and the compressed codecs cut traffic by
+// 10–50× (see codec.go).
 //
 // Every frame is
 //
@@ -16,10 +17,9 @@ package transport
 // plane's LeaseReject. All integers are
 // little-endian; floats are IEEE-754 bits (float64 vectors round-trip
 // bit-exactly, keeping the conformance suites bit-identical in
-// CodecFloat64). The magic byte doubles as the wire-format handshake: gob
-// streams cannot begin with 0xFE (a gob stream starts with a small uvarint
-// message length), so the coordinator sniffs the first byte of each
-// accepted connection and speaks gob to legacy peers — see handshake().
+// CodecFloat64). Every connection speaks this protocol from its first
+// byte: a stream that does not open with the magic is rejected at the
+// handshake.
 //
 // Payload layouts (all fields fixed-width unless marked uvarint):
 //
@@ -111,7 +111,7 @@ const (
 const repFlagErr = 1 << 0
 
 // errFrame marks wire-level framing violations (bad magic, short payload,
-// unknown type). Like a gob decode error they are network-class: the
+// unknown type). They are network-class: the
 // stream cannot be trusted after one, so the connection is torn down.
 func errFrame(format string, args ...interface{}) error {
 	return fmt.Errorf("transport: frame: "+format, args...)
@@ -672,7 +672,6 @@ func unmarshalRequest(p []byte, req *RoundRequest) error {
 	req.Done = flags&reqFlagDone != 0
 	req.TraceID, req.SpanID = 0, 0
 	req.ActivateProb = 0
-	req.Anchor32 = nil
 	if req.Done {
 		req.Local = optim.LocalConfig{}
 		req.Anchor = req.Anchor[:0]
@@ -754,7 +753,6 @@ func unmarshalReply(p []byte, rep *RoundReply, ref []float64) error {
 	rep.Err = ""
 	rep.Spans = nil
 	rep.SpanBytes = 0
-	rep.Local32 = nil
 	if flags&repFlagErr != 0 {
 		n := int(c.uvarint("error length"))
 		rep.Err = string(c.take(n, "error text"))
@@ -859,14 +857,17 @@ func (fw *frameWriter) writeFrame(frame []byte) error {
 }
 
 // frameReader reads frames off a buffered connection into a reusable
-// payload buffer (valid until the next call).
+// payload buffer (valid until the next call). The header buffer lives in
+// the reader too: a local one would escape through io.ReadFull and cost an
+// allocation per frame.
 type frameReader struct {
 	r   *bufio.Reader
 	buf []byte
+	hdr [frameHeaderSize]byte
 }
 
 func (fr *frameReader) next() (typ byte, payload []byte, err error) {
-	var hdr [frameHeaderSize]byte
+	hdr := &fr.hdr
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		return 0, nil, err
 	}

@@ -399,12 +399,12 @@ func TestWireSizeHelpers(t *testing.T) {
 	// into ~9 bytes vs our flat 8, plus per-message field overhead; only
 	// at tiny dims does its zero-field omission win).
 	for _, dim := range []int{100, 1010} {
-		if gobN, fr := GobRoundWireSize(CodecFloat64, dim, false), RoundWireSize(CodecFloat64, dim, 0, false); gobN <= fr {
+		if gobN, fr := GobRoundWireSize(dim, false), RoundWireSize(CodecFloat64, dim, 0, false); gobN <= fr {
 			t.Fatalf("dim %d: gob %d ≤ framed %d", dim, gobN, fr)
 		}
 	}
 	// First-round gob additionally pays the type preamble.
-	if first, steady := GobRoundWireSize(CodecFloat64, 100, true), GobRoundWireSize(CodecFloat64, 100, false); first <= steady {
+	if first, steady := GobRoundWireSize(100, true), GobRoundWireSize(100, false); first <= steady {
 		t.Fatalf("gob first round %d ≤ steady state %d", first, steady)
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"fedproxvr/internal/chaos"
 	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
@@ -187,25 +189,6 @@ func TestTrainValidatesConfig(t *testing.T) {
 	wg.Wait()
 }
 
-func TestQuantizedCodecRoundTrip(t *testing.T) {
-	w := []float64{1.5, -2.25, 1e-7, 3.14159265358979}
-	f64, f32 := quantize(CodecFloat32, w)
-	if f64 != nil || len(f32) != 4 {
-		t.Fatal("float32 quantize wrong shape")
-	}
-	back := dequantize(f64, f32)
-	for i := range w {
-		rel := math.Abs(back[i]-w[i]) / (1 + math.Abs(w[i]))
-		if rel > 1e-6 {
-			t.Fatalf("quantization error %v at %d", rel, i)
-		}
-	}
-	f64, f32 = quantize(CodecFloat64, w)
-	if f32 != nil || &f64[0] != &w[0] {
-		t.Fatal("float64 codec should pass through")
-	}
-}
-
 func TestQuantizedTrainingAndBandwidth(t *testing.T) {
 	// Use a model large enough (1010 params) that vector payloads dominate
 	// gob/protocol overhead.
@@ -342,7 +325,11 @@ func launchWithWorkers(t *testing.T, p *data.Partition, m models.Model, seed int
 
 // TestWorkerRejoinAfterFailure kills worker 1 mid-run, restarts it a few
 // rounds later, and asserts the run finishes all rounds with the rejoined
-// worker participating again.
+// worker participating again — and that the final global model is
+// bit-identical to an in-process Sequential run in which the chaos
+// decorator partitions device 1 out of the same rounds (3, 4 and 5): the
+// restarted worker re-keys its device stream from the wire round number,
+// so rejoining costs nothing in determinism.
 func TestWorkerRejoinAfterFailure(t *testing.T) {
 	p := testPartition(2, 12, 3, 2, 9)
 	m := models.NewSoftmax(3, 2, 0)
@@ -393,9 +380,31 @@ func TestWorkerRejoinAfterFailure(t *testing.T) {
 	if got := participants[cfg.Rounds]; len(got) != 2 {
 		t.Fatalf("final round should include the rejoined worker, got %v", got)
 	}
+	got := mathx.Clone(eng.Global())
 	c.Shutdown()
 	rwg.Wait()
 	wg.Wait()
+
+	sched := &chaos.Schedule{Events: []chaos.Event{{Device: 1, Round: 3, Kind: chaos.Partition, Until: 6}}}
+	if err := sched.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	devices := make([]*engine.Device, len(p.Clients))
+	for i, shard := range p.Clients {
+		devices[i] = engine.NewDevice(i, shard, m, seed)
+	}
+	ref, err := engine.New(cfg, m.Dim(), p.Weights(), chaos.NewExecutor(engine.NewSequential(devices, cfg.Local), sched))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range ref.Global() {
+		if got[i] != want {
+			t.Fatalf("rejoined run differs from the partitioned Sequential run at %d: %v vs %v", i, got[i], want)
+		}
+	}
 }
 
 // TestQuorumAbortsAfterMaxFailedRounds: with a quorum of 2 over a cohort
@@ -423,39 +432,84 @@ func TestQuorumAbortsAfterMaxFailedRounds(t *testing.T) {
 }
 
 // TestCoordinatorRejectsZeroSampleCohort: an all-empty-shard cohort must
-// be rejected at construction instead of yielding NaN aggregation weights.
+// be rejected at construction instead of yielding NaN aggregation weights,
+// and a negative sample count — flat or shard — at the handshake instead of
+// yielding negative weights. A peer that opens with anything but a Hello
+// frame (here a gob-encoded Hello) fails the handshake with a frame error.
 func TestCoordinatorRejectsZeroSampleCohort(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	type result struct {
-		c   *Coordinator
-		err error
-	}
-	resCh := make(chan result, 1)
-	go func() {
-		c, err := NewCoordinatorOn(ln, 2, 2*time.Second)
-		resCh <- result{c, err}
+	gobHello := func() []byte {
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(&Hello{ClientID: 0, NumSamples: 10}); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
 	}()
-	for k := 0; k < 2; k++ {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if err := gob.NewEncoder(conn).Encode(&Hello{ClientID: k, NumSamples: 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := <-resCh
-	if res.err == nil {
-		res.c.Close()
-		t.Fatal("all-empty cohort should be rejected")
-	}
-	if !strings.Contains(res.err.Error(), "samples") {
-		t.Fatalf("unexpected error: %v", res.err)
+	for _, tc := range []struct {
+		name   string
+		tree   bool
+		hellos [][]byte
+		want   string
+	}{
+		{"zero", false, [][]byte{
+			marshalHello(nil, &Hello{ClientID: 0}),
+			marshalHello(nil, &Hello{ClientID: 1}),
+		}, "samples"},
+		{"negative", false, [][]byte{
+			marshalHello(nil, &Hello{ClientID: 0, NumSamples: -5}),
+			marshalHello(nil, &Hello{ClientID: 1, NumSamples: 10}),
+		}, "samples"},
+		{"negative-shard", true, [][]byte{
+			marshalAggHello(nil, &AggHello{ShardID: 0, LoDevice: 0, NumDevices: 2, NumSamples: -5}),
+			marshalAggHello(nil, &AggHello{ShardID: 1, LoDevice: 2, NumDevices: 2, NumSamples: 10}),
+		}, "samples"},
+		{"gob", false, [][]byte{gobHello}, "frame"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ln.Addr().String()
+			type result struct {
+				c   *Coordinator
+				err error
+			}
+			resCh := make(chan result, 1)
+			go func() {
+				var c *Coordinator
+				var err error
+				if tc.tree {
+					c, err = NewTreeCoordinatorOn(ln, 2, 2*time.Second)
+				} else {
+					c, err = NewCoordinatorOn(ln, 2, 2*time.Second)
+				}
+				resCh <- result{c, err}
+			}()
+			start := time.Now()
+			for _, hello := range tc.hellos {
+				// A rejected Hello closes the listener, so a later peer may
+				// find nobody to talk to; the result below is what counts.
+				conn, err := net.Dial("tcp", addr)
+				if err != nil {
+					break
+				}
+				defer conn.Close()
+				if _, err := conn.Write(hello); err != nil {
+					break
+				}
+			}
+			res := <-resCh
+			if res.err == nil {
+				res.c.Close()
+				t.Fatal("cohort should be rejected")
+			}
+			if !strings.Contains(res.err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", res.err, tc.want)
+			}
+			if time.Since(start) > time.Second {
+				t.Fatalf("rejection took %v, want a fast failure", time.Since(start))
+			}
+		})
 	}
 }
 
@@ -476,8 +530,7 @@ func TestRoundTimeoutFires(t *testing.T) {
 		}
 		defer conn.Close()
 		// Handshake like a worker, then go silent.
-		enc := gob.NewEncoder(conn)
-		_ = enc.Encode(&Hello{ClientID: 0, NumSamples: 5})
+		_, _ = conn.Write(marshalHello(nil, &Hello{ClientID: 0, NumSamples: 5}))
 		<-done2
 	}()
 	c, err := NewCoordinatorOn(ln, 1, 300*time.Millisecond)

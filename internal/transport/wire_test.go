@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"math"
 	"net"
 	"strings"
@@ -19,7 +21,7 @@ import (
 )
 
 // launchFleet is launchTwoPhase with a custom worker constructor, so the
-// wire-comparison tests can raise gob fleets and misconfigured workers.
+// wire tests can raise misconfigured workers.
 func launchFleet(t testing.TB, p *data.Partition, m models.Model, seed int64,
 	mk func(addr string, id int, shard *data.Dataset) (*Worker, error)) (*Coordinator, *sync.WaitGroup) {
 	t.Helper()
@@ -51,43 +53,67 @@ func launchFleet(t testing.TB, p *data.Partition, m models.Model, seed int64,
 	return c, &wg
 }
 
+// gobFleetBytes is what n workers speaking gob would move over their
+// whole connections in a run of the given rounds: each connection's Hello,
+// every round's request and reply carrying full-mantissa dim-vectors, and
+// the Done request, gob-encoded in memory on one stream per direction — so
+// the type preamble is paid once per connection, as on a live stream.
+func gobFleetBytes(t *testing.T, n, dim, rounds int, local optim.LocalConfig) int64 {
+	t.Helper()
+	vec := testVec(5, dim)
+	var down, up bytes.Buffer
+	denc, uenc := gob.NewEncoder(&down), gob.NewEncoder(&up)
+	encode := func(enc *gob.Encoder, v interface{}) {
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encode(uenc, &Hello{ClientID: 1, NumSamples: 10})
+	for r := 1; r <= rounds; r++ {
+		encode(denc, &RoundRequest{Round: r, Anchor: vec, Local: local})
+		encode(uenc, &RoundReply{ClientID: 1, Round: r, Local: vec, GradEvals: int64(r) << 10, SolveSeconds: 0.001})
+	}
+	encode(denc, &RoundRequest{Done: true})
+	return int64(n * (down.Len() + up.Len()))
+}
+
 // TestFramedExactBitIdenticalAndCheaperThanGob is the exact-mode
 // acceptance gate: the framed float64 wire must train BIT-IDENTICALLY to
-// the legacy gob wire (CodecFloat64 is exact on both) while moving ≥1.8×
-// fewer bytes over the whole connection (Hello + gob's type preamble +
-// per-message overhead; the model here is small enough that protocol
-// overhead, not payload, dominates — the regime where gob is worst).
+// the in-process Sequential run while moving ≥1.8× fewer bytes over the
+// whole connection than the gob encoding of the same messages (Hello +
+// gob's type preamble + per-message overhead; the model here is small
+// enough that protocol overhead, not payload, dominates — the regime where
+// gob is worst).
 func TestFramedExactBitIdenticalAndCheaperThanGob(t *testing.T) {
 	p := testPartition(3, 10, 2, 2, 8)
 	m := models.NewSoftmax(2, 2, 0)
 	cfg := core.FedProxVR(optim.SARAH, 3, 1, 0.2, 4, 4, 3)
 	cfg.Seed = 11
 
-	run := func(mk func(addr string, id int, shard *data.Dataset) (*Worker, error)) ([]float64, int64) {
-		c, wg := launchFleet(t, p, m, cfg.Seed, mk)
-		defer c.Close()
-		w0 := make([]float64, m.Dim())
-		got, _, err := c.Train(w0, cfg, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Shutdown()
-		wg.Wait()
-		sent, recv := c.Bandwidth()
-		return got, sent + recv
+	r, err := core.NewRunner(m, p, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	gobModel, gobBytes := run(func(addr string, id int, shard *data.Dataset) (*Worker, error) {
-		return NewGobWorker(addr, id, shard, m, cfg.Seed)
-	})
-	frModel, frBytes := run(func(addr string, id int, shard *data.Dataset) (*Worker, error) {
-		return NewWorker(addr, id, shard, m, cfg.Seed)
-	})
-	for i := range gobModel {
-		if gobModel[i] != frModel[i] {
-			t.Fatalf("framed exact mode differs from gob baseline at %d: %v vs %v",
-				i, frModel[i], gobModel[i])
+	r.Run()
+	want := r.Global()
+
+	c, wg := launchTwoPhase(t, p, m, cfg.Seed)
+	defer c.Close()
+	got, _, err := c.Train(make([]float64, m.Dim()), cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Shutdown()
+	wg.Wait()
+	sent, recv := c.Bandwidth()
+	frBytes := sent + recv
+
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("framed exact mode differs from Sequential at %d: %v vs %v", i, got[i], want[i])
 		}
 	}
+	gobBytes := gobFleetBytes(t, len(p.Clients), m.Dim(), cfg.Rounds, cfg.Local)
 	if ratio := float64(gobBytes) / float64(frBytes); ratio < 1.8 {
 		t.Fatalf("framed exact mode saved only %.2fx over gob (%d vs %d bytes), want ≥ 1.8x",
 			ratio, frBytes, gobBytes)
@@ -95,12 +121,11 @@ func TestFramedExactBitIdenticalAndCheaperThanGob(t *testing.T) {
 }
 
 // meterSteadyRound measures the steady-state wire bytes of one round for
-// the whole fleet: a warm-up round absorbs gob's one-time type preamble,
-// then the next rounds are averaged.
+// the whole fleet: a warm-up round absorbs any first-round cost, then the
+// next rounds are averaged.
 func meterSteadyRound(t *testing.T, c *Coordinator, dim int, cfg core.Config) float64 {
 	t.Helper()
-	// Full-mantissa anchor: an all-zero w0 would flatter gob, which encodes
-	// 0.0 in one byte, and misstate the steady-state baseline.
+	// Full-mantissa anchor, like the gob baseline's vectors.
 	w0 := testVec(99, dim)
 	if _, err := c.Round(1, w0, cfg); err != nil {
 		t.Fatal(err)
@@ -118,24 +143,19 @@ func meterSteadyRound(t *testing.T, c *Coordinator, dim int, cfg core.Config) fl
 
 // TestCompressedCodecsCutWireBytes is the compression acceptance gate, on
 // the 1010-parameter softmax task where payloads dominate: relative to the
-// gob float64 baseline (countingConn-measured), the topk-delta mode must
-// cut per-round bytes ≥ 10×, int8 ≥ 6× and the framed exact mode must
-// already be cheaper. Ratios are steady-state (warm-up round excluded), so
-// this is the honest per-round number, not a preamble artifact.
+// gob float64 baseline (the in-memory GobRoundWireSize encoding of the same
+// round's messages, per worker), the topk-delta mode must cut per-round
+// bytes ≥ 10×, int8 ≥ 6× and the framed exact mode must already be
+// cheaper. The framed bytes are countingConn-measured and steady-state
+// (warm-up round excluded), so this is the honest per-round number.
 func TestCompressedCodecsCutWireBytes(t *testing.T) {
 	p := testPartition(3, 20, 100, 10, 5)
 	m := models.NewSoftmax(100, 10, 0)
 	cfg := core.FedAvg(4, 1, 3, 4, 3)
 	cfg.Seed = 12
 
-	meter := func(gobWire bool, codec Codec) float64 {
-		mk := func(addr string, id int, shard *data.Dataset) (*Worker, error) {
-			if gobWire {
-				return NewGobWorker(addr, id, shard, m, cfg.Seed)
-			}
-			return NewWorker(addr, id, shard, m, cfg.Seed)
-		}
-		c, wg := launchFleet(t, p, m, cfg.Seed, mk)
+	meter := func(codec Codec) float64 {
+		c, wg := launchTwoPhase(t, p, m, cfg.Seed)
 		defer c.Close()
 		c.SetCodec(codec)
 		perRound := meterSteadyRound(t, c, m.Dim(), cfg)
@@ -144,10 +164,10 @@ func TestCompressedCodecsCutWireBytes(t *testing.T) {
 		return perRound
 	}
 
-	gobBase := meter(true, CodecFloat64)
-	framed := meter(false, CodecFloat64)
-	int8B := meter(false, CodecInt8)
-	topk := meter(false, CodecTopK)
+	gobBase := float64(len(p.Clients) * GobRoundWireSize(m.Dim(), false))
+	framed := meter(CodecFloat64)
+	int8B := meter(CodecInt8)
+	topk := meter(CodecTopK)
 
 	if framed >= gobBase {
 		t.Fatalf("framed exact mode moved %v bytes/round ≥ gob %v", framed, gobBase)
@@ -249,48 +269,6 @@ func TestCodecMismatchRejected(t *testing.T) {
 	}
 	if faultErr == nil || !strings.Contains(faultErr.Error(), "codec") {
 		t.Fatalf("fault handler saw %v, want a codec mismatch", faultErr)
-	}
-	c.Shutdown()
-	wg.Wait()
-}
-
-// TestMixedFleetInterop: framed and legacy gob workers coexist in one
-// cohort (the wire format is per-connection), and under the float codecs
-// both report models the engine can aggregate.
-func TestMixedFleetInterop(t *testing.T) {
-	p := testPartition(2, 10, 3, 2, 10)
-	m := models.NewSoftmax(3, 2, 0)
-	cfg := core.FedProxVR(optim.SVRG, 3, 1, 0.2, 4, 4, 3)
-	cfg.Seed = 15
-
-	mk := func(addr string, id int, shard *data.Dataset) (*Worker, error) {
-		if id == 0 {
-			return NewGobWorker(addr, id, shard, m, cfg.Seed)
-		}
-		return NewWorker(addr, id, shard, m, cfg.Seed)
-	}
-	c, wg := launchFleet(t, p, m, cfg.Seed, mk)
-	defer c.Close()
-	locals, err := c.Round(1, make([]float64, m.Dim()), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if locals[0] == nil || locals[1] == nil {
-		t.Fatalf("mixed fleet dropped a worker: %v", locals)
-	}
-
-	// An int codec is framed-only: the gob peer must be rejected with a
-	// clear error while the framed peer still reports.
-	c.SetCodec(CodecInt8)
-	locals, err = c.Round(2, make([]float64, m.Dim()), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if locals[0] != nil {
-		t.Fatal("gob worker served an int codec it cannot encode")
-	}
-	if locals[1] == nil {
-		t.Fatal("framed worker dropped under int8")
 	}
 	c.Shutdown()
 	wg.Wait()

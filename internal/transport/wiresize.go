@@ -92,22 +92,20 @@ func RoundWireSize(c Codec, dim, topK int, traced bool) int {
 	return RequestWireSize(c, dim, traced) + ReplyWireSize(c, dim, topK)
 }
 
-// GobRoundWireSize measures the legacy gob wire's bytes for one round
-// (request + reply) at the given dim and codec, by encoding representative
-// messages with full-mantissa vectors (gob varint-packs float64s, so
-// round-number values would flatter it). firstRound includes gob's one-time
-// type preamble, which amortizes away on later rounds of a connection.
-func GobRoundWireSize(c Codec, dim int, firstRound bool) int {
+// GobRoundWireSize measures the baseline the framed protocol replaced: the
+// bytes of one exact (float64) round's request and reply under
+// encoding/gob, encoded in memory with full-mantissa vectors (gob
+// varint-packs float64s, so round-number values would flatter it).
+// firstRound includes gob's one-time type preamble, which a gob stream
+// pays once per connection.
+func GobRoundWireSize(dim int, firstRound bool) int {
 	rng := rand.New(rand.NewSource(1))
 	vec := make([]float64, dim)
 	for i := range vec {
 		vec[i] = rng.NormFloat64()
 	}
-	req := RoundRequest{Round: 1}
-	req.Codec = c
-	req.Anchor, req.Anchor32 = quantize(c, vec)
-	rep := RoundReply{ClientID: 1, Round: 1, GradEvals: 1 << 20, SolveSeconds: 0.123}
-	rep.Local, rep.Local32 = quantize(c, vec)
+	req := RoundRequest{Round: 1, Anchor: vec}
+	rep := RoundReply{ClientID: 1, Round: 1, GradEvals: 1 << 20, SolveSeconds: 0.123, Local: vec}
 
 	measure := func(v interface{}) int {
 		var w bytes.Buffer
@@ -132,7 +130,7 @@ func GobRoundWireSize(c Codec, dim int, firstRound bool) int {
 // CompressionRatio returns the gob-baseline bytes divided by the framed
 // bytes for one steady-state round at the given codec/dim/topK.
 func CompressionRatio(c Codec, dim, topK int) float64 {
-	gob := GobRoundWireSize(CodecFloat64, dim, false)
+	gob := GobRoundWireSize(dim, false)
 	framed := RoundWireSize(c, dim, topK, false)
 	if framed == 0 {
 		return 0

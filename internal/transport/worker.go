@@ -1,48 +1,27 @@
 package transport
 
 import (
-	"bufio"
-	"encoding/gob"
-	"errors"
-	"io"
-	"net"
 	"time"
 
 	"fedproxvr/internal/chaos"
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
+	"fedproxvr/internal/engine"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/trace"
 )
 
 // Worker is the device side of the distributed runtime: it connects to a
 // coordinator, announces its shard size, and serves rounds until told to
-// stop. Its RNG stream derivation matches core.NewDevice, so a distributed
-// run is bit-identical to the in-process simulator with the same seed.
-//
-// Workers speak the framed binary protocol by default; NewGobWorker builds
-// a legacy gob peer (the coordinator auto-detects the format per
-// connection).
+// stop. Its RNG stream derivation matches engine.NewDevice, so a
+// distributed run is bit-identical to the in-process simulator with the
+// same seed. The connection loop (dial, rejoin, chaos enforcement) is the
+// shared peer's; Worker adds the Hello and the single-device solve.
 type Worker struct {
-	id     int
-	device *core.Device
-	shard  *data.Dataset
-	addr   string
-	conn   net.Conn
-
-	// Framed wire (the default). req/wbuf/dscratch are reusable
-	// decode/encode/delta buffers so the steady-state round loop does not
-	// allocate for the wire.
-	fr       frameReader
-	fw       frameWriter
-	req      RoundRequest
-	wbuf     []byte
+	peer
+	device  *engine.Device
+	samples int
+	// dscratch is the reusable delta buffer of the delta codecs' encoder.
 	dscratch []float64
-
-	// Legacy gob wire, selected by NewGobWorker.
-	gobWire bool
-	enc     *gob.Encoder
-	dec     *gob.Decoder
 
 	// forced, when forceOn, is the codec the worker replies in regardless
 	// of what the request asked for — a deliberately wrong configuration
@@ -50,40 +29,7 @@ type Worker struct {
 	// rejects, proving the same-codec contract is enforced end to end.
 	forced  Codec
 	forceOn bool
-
-	// Chaos injection (nil for plain workers). cconn is the chaos wrapper
-	// around conn when sched != nil, kept so Delay events can arm it.
-	sched *chaos.Schedule
-	cconn *chaos.Conn
-	// flaked remembers rounds whose injected flake already fired, so the
-	// coordinator's retry of the same round succeeds (flake-once semantics).
-	flaked map[int]bool
-
-	// Lease (jobs control plane, framed wire): offered in every Hello.
-	// When the coordinator answers with a LeaseReject, the worker adopts
-	// the told values before re-dialing — see recvRequest and lost.
-	leaseJob   string
-	leaseEpoch int64
-
-	// Rejoin policy: after an unclean connection loss the worker re-dials
-	// the coordinator up to rejoinAttempts times, spaced by rejoinBackoff,
-	// and is adopted back at the next round boundary. Zero attempts keeps
-	// the historical die-on-disconnect behavior.
-	rejoinAttempts int
-	rejoinBackoff  time.Duration
-	outageTries    int
-
-	// rec, when non-nil, records per-round solve spans (solve, anchor-grad,
-	// inner-loop) relative to each request's receipt and ships them back in
-	// the reply — but only for requests that carry a TraceID, so a tracing
-	// worker against a non-tracing coordinator sends nothing extra.
-	rec *trace.Recorder
 }
-
-// EnableTrace makes the worker record local-solve trace spans and return
-// them in round replies whenever the coordinator propagates a trace
-// context (RoundRequest.TraceID != 0). Call before Serve.
-func (w *Worker) EnableTrace() { w.rec = trace.NewRecorder() }
 
 // ForceCodec pins the worker's reply codec instead of following each
 // request's. This is intentionally allowed to disagree with the
@@ -101,15 +47,7 @@ func (w *Worker) ForceCodec(c Codec) { w.forced, w.forceOn = c, true }
 // bit-identical to the equivalent scripted-dropout run, and survives a
 // coordinator restart the same way.
 func NewWorker(addr string, id int, shard *data.Dataset, m models.Model, seed int64) (*Worker, error) {
-	return newWorker(addr, id, shard, m, seed, nil, false)
-}
-
-// NewGobWorker is NewWorker on the legacy gob wire, kept as a measurable
-// baseline and for compatibility with older coordinators. The gob wire
-// carries only the float codecs; an int/topk request is answered with an
-// application-level error.
-func NewGobWorker(addr string, id int, shard *data.Dataset, m models.Model, seed int64) (*Worker, error) {
-	return newWorker(addr, id, shard, m, seed, nil, true)
+	return newWorker(addr, id, shard, m, seed, nil).connect()
 }
 
 // NewChaosWorker is NewWorker with a fault schedule: before solving each
@@ -124,7 +62,7 @@ func NewGobWorker(addr string, id int, shard *data.Dataset, m models.Model, seed
 // 25ms apart) so Crash and Partition events are per-round outages rather
 // than permanent losses; tune with SetRejoin.
 func NewChaosWorker(addr string, id int, shard *data.Dataset, m models.Model, seed int64, sched *chaos.Schedule) (*Worker, error) {
-	return newWorker(addr, id, shard, m, seed, sched, false)
+	return newWorker(addr, id, shard, m, seed, sched).connect()
 }
 
 // NewLeasedWorker is NewWorker for the jobs control plane: every Hello
@@ -134,298 +72,88 @@ func NewChaosWorker(addr string, id int, shard *data.Dataset, m models.Model, se
 // to a dead incarnation is fenced out of the next one until it rejoins
 // under the new epoch. Leased workers default to a persistent rejoin
 // policy (40 attempts, 25ms apart — tune with SetRejoin): surviving the
-// coordinator restart is their whole point. Framed wire only.
+// coordinator restart is their whole point.
 func NewLeasedWorker(addr string, id int, shard *data.Dataset, m models.Model, seed int64, jobID string, epoch int64) (*Worker, error) {
-	w := &Worker{
-		id:             id,
-		device:         core.NewDevice(id, shard, m, seed),
-		shard:          shard,
-		addr:           addr,
-		leaseJob:       jobID,
-		leaseEpoch:     epoch,
-		rejoinAttempts: 40,
-		rejoinBackoff:  25 * time.Millisecond,
-	}
+	w := newWorker(addr, id, shard, m, seed, nil)
+	w.leaseJob, w.leaseEpoch = jobID, epoch
+	w.SetRejoin(40, 25*time.Millisecond)
+	return w.connect()
+}
+
+func newWorker(addr string, id int, shard *data.Dataset, m models.Model, seed int64, sched *chaos.Schedule) *Worker {
+	w := &Worker{device: engine.NewDevice(id, shard, m, seed), samples: shard.N()}
+	w.init(w, id, addr, sched)
+	return w
+}
+
+// connect performs the first dial.
+func (w *Worker) connect() (*Worker, error) {
 	if err := w.dial(); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
-func newWorker(addr string, id int, shard *data.Dataset, m models.Model, seed int64, sched *chaos.Schedule, gobWire bool) (*Worker, error) {
-	w := &Worker{
-		id:      id,
-		device:  core.NewDevice(id, shard, m, seed),
-		shard:   shard,
-		addr:    addr,
-		sched:   sched,
-		gobWire: gobWire,
-	}
-	if sched != nil {
-		w.flaked = make(map[int]bool)
-		w.rejoinAttempts = 40
-		w.rejoinBackoff = 25 * time.Millisecond
-	}
-	if err := w.dial(); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// SetRejoin configures how persistently the worker re-dials the
-// coordinator after losing its connection. attempts == 0 disables
-// rejoining (the historical behavior for plain workers).
-func (w *Worker) SetRejoin(attempts int, backoff time.Duration) {
-	w.rejoinAttempts = attempts
-	w.rejoinBackoff = backoff
-}
-
-// dial (re)establishes the connection and performs the Hello handshake.
-// The chaos wrapper, when present, must be installed before the wire
-// encoders are built: both formats assume a single uninterrupted stream,
-// so swapping the writer mid-stream would corrupt the protocol.
-func (w *Worker) dial() error {
-	conn, err := net.Dial("tcp", w.addr)
-	if err != nil {
-		return protocolError("dial", err)
-	}
-	w.conn = conn
-	w.cconn = nil
-	if w.sched != nil {
-		w.cconn = chaos.NewConn(conn)
-		w.conn = w.cconn
-	}
-	if w.gobWire {
-		w.enc = gob.NewEncoder(w.conn)
-		w.dec = gob.NewDecoder(w.conn)
-		if err := w.enc.Encode(&Hello{ClientID: w.id, NumSamples: w.shard.N()}); err != nil {
-			conn.Close()
-			return protocolError("hello", err)
-		}
-		return nil
-	}
-	w.fw = frameWriter{w: w.conn}
-	w.fr = frameReader{r: bufio.NewReader(w.conn)}
-	w.wbuf = marshalHello(w.wbuf[:0], &Hello{
-		ClientID: w.id, NumSamples: w.shard.N(),
+func (w *Worker) hello(dst []byte) []byte {
+	return marshalHello(dst, &Hello{
+		ClientID: w.id, NumSamples: w.samples,
 		JobID: w.leaseJob, Epoch: w.leaseEpoch,
 	})
-	if err := w.fw.writeFrame(w.wbuf); err != nil {
-		conn.Close()
-		return protocolError("hello", err)
-	}
-	return nil
 }
 
-// errStaleLease is returned by recvRequest when the coordinator answered
-// the Hello with a LeaseReject. The worker has already adopted the told
-// (job, epoch) by then, so the normal lost() path — re-dial, re-Hello —
-// performs the lease renewal with no extra machinery.
-var errStaleLease = errors.New("transport: lease is stale")
-
-// recvRequest reads the next round request off the wire into w.req
-// (overwriting every field on the framed wire; the gob path decodes into a
-// zeroed struct to match gob's merge-into semantics).
-func (w *Worker) recvRequest() error {
-	if w.gobWire {
-		w.req = RoundRequest{}
-		return w.dec.Decode(&w.req)
-	}
-	typ, payload, err := w.fr.next()
-	if err != nil {
-		return err
-	}
-	switch typ {
-	case msgRoundRequest:
-		return unmarshalRequest(payload, &w.req)
-	case msgLeaseReject:
-		lr, err := unmarshalLeaseReject(payload)
-		if err != nil {
-			return err
-		}
-		w.leaseJob, w.leaseEpoch = lr.JobID, lr.Epoch
-		return errStaleLease
-	default:
-		return errFrame("expected round request, got frame type %d", typ)
-	}
+func (w *Worker) fail(dst []byte, round int, msg string) []byte {
+	dst, _ = marshalReply(dst, &RoundReply{ClientID: w.id, Round: round, Err: msg}, nil, nil, 0)
+	return dst
 }
 
-// sendReply writes rep in the connection's wire format. ref is the decoded
-// request anchor, the delta codecs' reference (unused by gob). The gob
-// wire carries only the float codecs; anything else is downgraded to an
-// application-level error reply the coordinator will reject and retry.
-func (w *Worker) sendReply(rep *RoundReply, ref []float64) error {
-	if w.gobWire {
-		if rep.Err == "" {
-			switch rep.Codec {
-			case CodecFloat64, CodecFloat32:
-				rep.Local, rep.Local32 = quantize(rep.Codec, rep.Local)
-			default:
-				*rep = RoundReply{ClientID: rep.ClientID, Round: rep.Round,
-					Err: "codec " + rep.Codec.String() + " is not supported on the gob wire"}
-			}
-		}
-		return w.enc.Encode(rep)
+// solve runs the device's local solve from the request anchor and encodes
+// the reply. The decoded req.Anchor doubles as the delta codecs' reference:
+// it is by construction bit-identical to the coordinator's codecReference
+// output.
+func (w *Worker) solve(dst []byte, req *RoundRequest, ev chaos.Event) []byte {
+	rep := RoundReply{ClientID: w.id, Round: req.Round, Codec: req.Codec}
+	if w.forceOn {
+		rep.Codec = w.forced
 	}
-	w.wbuf, w.dscratch = marshalReply(w.wbuf[:0], rep, ref, w.dscratch, w.req.TopK)
-	return w.fw.writeFrame(w.wbuf)
-}
-
-// Serve processes round requests until the coordinator sends Done or the
-// connection closes. A clean shutdown (Done or EOF) returns nil. With a
-// rejoin policy, connection losses trigger re-dials before giving up.
-func (w *Worker) Serve() error {
-	defer func() { w.conn.Close() }()
-	for {
-		again, err := w.serveConn()
-		if !again || err != nil {
-			return err
-		}
-	}
-}
-
-// serveConn runs the request loop on the current connection. It returns
-// (true, nil) when the worker rejoined on a fresh connection and the loop
-// should continue.
-func (w *Worker) serveConn() (rejoin bool, err error) {
-	for {
-		if err := w.recvRequest(); err != nil {
-			return w.lost(err)
-		}
-		req := &w.req
-		if req.Done {
-			return false, nil
-		}
-		w.outageTries = 0
-
-		var ev chaos.Event
-		var chaotic bool
-		if w.sched != nil {
-			ev, chaotic = w.sched.ActionFor(w.id, req.Round)
-		}
-		// anchor doubles as the delta codecs' reference: the framed wire
-		// fills req.Anchor with the dequantized anchor — by construction
-		// bit-identical to the coordinator's codecReference output.
-		anchor := req.AnchorVec()
-		if chaotic {
-			switch ev.Kind {
-			case chaos.Crash, chaos.Partition:
-				// Kill before solving: the device RNG stays untouched this
-				// round, matching the in-process decorator, which skips the
-				// device entirely.
-				w.killConn()
-				return w.lost(net.ErrClosed)
-			case chaos.Flake:
-				if !w.flaked[req.Round] {
-					w.flaked[req.Round] = true
-					rep := RoundReply{ClientID: w.id, Round: req.Round, Err: "chaos: injected flake"}
-					if err := w.sendReply(&rep, anchor); err != nil {
-						return w.lost(err)
-					}
-					continue
-				}
-			case chaos.Delay:
-				w.cconn.ArmWriteDelay(ev.Delay())
+	traceOn := w.tracing(req)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				rep.Err = toErrString(r)
 			}
-		}
-
-		rep := RoundReply{ClientID: w.id, Round: req.Round, Codec: req.Codec}
-		if w.forceOn {
-			rep.Codec = w.forced
-		}
-		traceOn := w.rec != nil && req.TraceID != 0
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					rep.Err = toErrString(r)
-				}
-			}()
-			var solve trace.WSpan
-			if traceOn {
-				// Span times are relative to this Rebase (the request's
-				// receipt); the coordinator re-bases them onto its timeline.
-				// Wire parent 0 designates the propagated round span.
-				w.rec.Rebase()
-				solve = w.rec.Start("solve", 0)
-				w.device.Solver.SetPhaseHook(func(name string) func() {
-					return w.rec.Start(name, solve.ID()).End
-				})
-				defer w.device.Solver.SetPhaseHook(nil)
-			}
-			start := time.Now()
-			// Re-key the device stream from the wire round number: round t's
-			// draws are a pure (seed, id, round) hash, identical whether this
-			// worker process has served rounds 1..t-1 or just rejoined.
-			w.device.BeginRound(req.Round)
-			local := w.device.RunRound(anchor, req.Local)
-			rep.SolveSeconds = time.Since(start).Seconds()
-			if traceOn {
-				solve.End()
-				rep.Spans = w.rec.Take()
-			}
-			if chaotic && ev.Kind == chaos.Corrupt {
-				cp := append([]float64(nil), local...)
-				w.sched.CorruptVec(ev, cp)
-				local = cp
-			}
-			// Full precision here; sendReply encodes per rep.Codec (the
-			// framed marshaller quantizes, the gob path falls back to
-			// quantize()).
-			rep.Local = local
-			rep.GradEvals = w.device.GradEvals()
 		}()
-		if err := w.sendReply(&rep, anchor); err != nil {
-			return w.lost(err)
+		var solve trace.WSpan
+		if traceOn {
+			// Span times are relative to this Rebase (the request's
+			// receipt); the coordinator re-bases them onto its timeline.
+			// Wire parent 0 designates the propagated round span.
+			w.rec.Rebase()
+			solve = w.rec.Start("solve", 0)
+			w.device.Solver.SetPhaseHook(func(name string) func() {
+				return w.rec.Start(name, solve.ID()).End
+			})
+			defer w.device.Solver.SetPhaseHook(nil)
 		}
-	}
-}
-
-// killConn drops the connection abruptly (RST when possible), simulating
-// a process crash or network partition.
-func (w *Worker) killConn() {
-	if w.cconn != nil {
-		w.cconn.Kill()
-		return
-	}
-	w.conn.Close()
-}
-
-// lost handles a connection loss: clean closes (Done/EOF/ErrClosed) with
-// no rejoin policy end Serve with nil, other errors propagate. With a
-// rejoin policy the worker re-dials; a refused dial means the coordinator
-// is gone, so the worker gives up immediately rather than burn the
-// remaining attempts.
-func (w *Worker) lost(cause error) (rejoin bool, err error) {
-	clean := errors.Is(cause, io.EOF) || errors.Is(cause, net.ErrClosed)
-	if w.rejoinAttempts <= 0 {
-		if clean {
-			return false, nil
+		start := time.Now()
+		// Re-key the device stream from the wire round number: round t's
+		// draws are a pure (seed, id, round) hash, identical whether this
+		// worker process has served rounds 1..t-1 or just rejoined.
+		w.device.BeginRound(req.Round)
+		local := w.device.RunRound(req.Anchor, req.Local)
+		rep.SolveSeconds = time.Since(start).Seconds()
+		if traceOn {
+			solve.End()
+			rep.Spans = w.rec.Take()
 		}
-		return false, protocolError("recv", cause)
-	}
-	w.conn.Close()
-	for w.outageTries < w.rejoinAttempts {
-		w.outageTries++
-		time.Sleep(w.rejoinBackoff)
-		if err := w.dial(); err == nil {
-			return true, nil
+		if ev.Kind == chaos.Corrupt {
+			cp := append([]float64(nil), local...)
+			w.sched.CorruptVec(ev, cp)
+			local = cp
 		}
-	}
-	if clean {
-		return false, nil
-	}
-	return false, protocolError("recv", cause)
+		// Full precision here; the marshaller encodes per rep.Codec.
+		rep.Local = local
+		rep.GradEvals = w.device.GradEvals()
+	}()
+	dst, w.dscratch = marshalReply(dst, &rep, req.Anchor, w.dscratch, req.TopK)
+	return dst
 }
-
-func toErrString(r interface{}) string {
-	if err, ok := r.(error); ok {
-		return err.Error()
-	}
-	if s, ok := r.(string); ok {
-		return s
-	}
-	return "worker panic"
-}
-
-// Close terminates the connection (Serve will then return).
-func (w *Worker) Close() error { return w.conn.Close() }
